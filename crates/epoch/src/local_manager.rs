@@ -50,7 +50,7 @@ impl LocalEpochManager {
             rt: ctx::current_runtime(),
             epoch: AtomicU64::new(1),
             is_setting_epoch: AtomicU64::new(0),
-            limbo: [LimboList::new(), LimboList::new(), LimboList::new()],
+            limbo: std::array::from_fn(|_| LimboList::new()),
             pool: NodePool::new(),
             tokens: TokenRegistry::new(),
             stats: ReclaimStats::default(),
@@ -83,15 +83,16 @@ impl LocalEpochManager {
         }
     }
 
-    /// The manager's current epoch (1, 2, or 3).
+    /// The manager's current epoch (1 through [`EPOCHS`]).
     pub fn current_epoch(&self) -> u64 {
         charge_local_atomic();
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Attempt to advance the epoch and reclaim the two-advances-old limbo
-    /// list. Non-blocking: returns `false` immediately if another task is
-    /// already reclaiming or if some token is pinned in an older epoch.
+    /// Attempt to advance the epoch and reclaim the three-advances-old
+    /// limbo list. Non-blocking: returns `false` immediately if another
+    /// task is already reclaiming or if some token is pinned in an older
+    /// epoch.
     pub fn try_reclaim(&self) -> bool {
         charge_local_atomic();
         if self.is_setting_epoch.swap(1, Ordering::SeqCst) != 0 {
@@ -148,7 +149,7 @@ impl LocalEpochManager {
                         obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
                     }
                     // SAFETY: EBR guarantees no task still holds a
-                    // reference (two epoch advances since logical removal,
+                    // reference (three epoch advances since logical removal,
                     // or the caller guaranteed quiescence for clear()).
                     unsafe { e.run_drop(core) };
                 }) as u64
@@ -185,14 +186,38 @@ impl Drop for LocalEpochManager {
 impl<'a> LocalToken<'a> {
     /// Enter the current epoch. Idempotent re-pinning updates to the
     /// manager's current epoch.
+    ///
+    /// The pin is validated: after publishing the epoch it re-reads the
+    /// manager's epoch and re-pins if an advance slipped in between, so a
+    /// token is never more than one epoch behind.
     pub fn pin(&self) {
-        let e = self.mgr.current_epoch();
-        self.slot.set_epoch(e);
+        let mut e = self.mgr.current_epoch();
+        loop {
+            self.slot.set_epoch(e);
+            let now = self.mgr.current_epoch();
+            if now == e {
+                break;
+            }
+            e = now;
+        }
+        if let Some(obs) = self.mgr.observer.get() {
+            obs.on_pin(self.id(), e);
+        }
     }
 
     /// Leave the epoch (become quiescent).
     pub fn unpin(&self) {
+        // Report before publishing, so the observer never sees a pin that
+        // has already ended.
+        if let Some(obs) = self.mgr.observer.get() {
+            obs.on_unpin(self.id());
+        }
         self.slot.set_epoch(QUIESCENT);
+    }
+
+    /// The identity reported to the observer: the token slot's address.
+    fn id(&self) -> usize {
+        self.slot as *const TokenSlot as usize
     }
 
     /// True while pinned.
@@ -230,7 +255,11 @@ impl<'a> LocalToken<'a> {
 impl Drop for LocalToken<'_> {
     fn drop(&mut self) {
         // Mirrors the managed-class wrapper in the paper: going out of
-        // scope unpins and unregisters automatically.
+        // scope unpins and unregisters automatically. Tell the observer
+        // about the unpin first, as `unpin` does.
+        if let Some(obs) = self.mgr.observer.get().filter(|_| self.is_pinned()) {
+            obs.on_unpin(self.id());
+        }
         self.mgr.tokens.unregister(self.slot);
     }
 }
@@ -261,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_needs_two_advances() {
+    fn reclaim_needs_three_advances() {
         let rt = zrt();
         rt.run(|| {
             let em = LocalEpochManager::new();
@@ -271,14 +300,36 @@ mod tests {
             tok.unpin();
             assert_eq!(rt.live_objects(), 1);
             assert!(em.try_reclaim(), "first advance");
-            assert_eq!(rt.live_objects(), 1, "object survives one advance");
             assert!(em.try_reclaim(), "second advance");
+            assert_eq!(rt.live_objects(), 1, "object survives two advances");
+            assert!(em.try_reclaim(), "third advance");
             assert_eq!(
                 rt.live_objects(),
                 0,
-                "deferred in epoch e, freed on the advance to e+2"
+                "deferred in epoch e, freed on the advance to e+3"
             );
             assert_eq!(em.stats().objects_reclaimed, 1);
+        });
+    }
+
+    #[test]
+    fn defer_from_a_lagging_token_survives_a_current_reader() {
+        // A pins in epoch 1, the epoch advances, B pins in 2 (and may now
+        // hold X), A defers X into list 1 and unpins. The advance to 3 is
+        // legal — everyone is in 2 or quiescent — but must not free X.
+        let rt = zrt();
+        rt.run(|| {
+            let em = LocalEpochManager::new();
+            let (a, b) = (em.register(), em.register());
+            a.pin();
+            assert!(em.try_reclaim());
+            b.pin();
+            let x = alloc_local(&rt, 5u64);
+            a.defer_delete(x);
+            a.unpin();
+            assert!(em.try_reclaim(), "the advance to 3 is allowed");
+            assert_eq!(rt.live_objects(), 1, "X is live while B is pinned");
+            b.unpin();
         });
     }
 

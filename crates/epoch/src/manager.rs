@@ -15,11 +15,16 @@
 //!    return).
 //! 3. Scan every locale's allocated tokens; the advance is safe only if
 //!    every token is quiescent or pinned in the current global epoch.
-//! 4. If safe: bump the global epoch (`(e % 3) + 1`), then on every locale
-//!    update the cached epoch, detach the two-advances-old limbo list, and
-//!    **scatter** its objects by owning locale so each destination receives
-//!    one bulk-free active message instead of one RPC per object.
+//! 4. If safe: bump the global epoch (`(e % 4) + 1` — four epochs where
+//!    the paper has three, see [`crate::math`]), then on every locale
+//!    update the cached epoch, detach the three-advances-old limbo list,
+//!    and **scatter** its objects by owning locale so each destination
+//!    receives one bulk-free active message instead of one RPC per object.
 //! 5. Clear both flags.
+//!
+//! [`Token::pin`] validates its pin (publish, re-read the cached epoch,
+//! retry if it moved), so every pinned token is in the global epoch or
+//! one behind it — the precondition the four-epoch rule relies on.
 //!
 //! `clear` reclaims every limbo list unconditionally and must only be
 //! called in quiescence (single-owner teardown), as in the paper.
@@ -106,12 +111,8 @@ impl EpochManager {
         let instances = Privatized::new(&rt, |l| LocaleInstance {
             locale_epoch: AtomicInt::new_on(l, 1),
             is_setting_epoch: AtomicInt::new_on(l, 0),
-            limbo: [LimboList::new(), LimboList::new(), LimboList::new()],
-            first_defer_vtime: [
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-            ],
+            limbo: std::array::from_fn(|_| LimboList::new()),
+            first_defer_vtime: std::array::from_fn(|_| AtomicU64::new(u64::MAX)),
             pool: NodePool::new(),
             tokens: TokenRegistry::new(),
         });
@@ -344,7 +345,7 @@ fn reclaim_list(
         let src = pgas_sim::here();
         let mut scatter = Batcher::new(core, usize::MAX, move |dest, batch: Vec<Erased>| {
             // SAFETY: the epoch protocol guarantees no task still holds
-            // a reference to anything in a two-advances-old limbo list
+            // a reference to anything in a three-advances-old limbo list
             // (or the caller guaranteed quiescence for clear()); the
             // handler runs on `dest`, where every object in the batch
             // lives.
@@ -398,14 +399,39 @@ impl Drop for EpochManager {
 
 impl<'a> Token<'a> {
     /// Enter the current (locale-cached) epoch.
+    ///
+    /// The pin is validated: after publishing the epoch it re-reads the
+    /// cache and re-pins if an advance slipped in between, so a token is
+    /// never more than one epoch behind the global epoch.
     pub fn pin(&self) {
-        let e = self.mgr.instances.get_for(self.locale).locale_epoch.read();
-        self.slot.set_epoch(e);
+        let cache = &self.mgr.instances.get_for(self.locale).locale_epoch;
+        let mut e = cache.read();
+        loop {
+            self.slot.set_epoch(e);
+            let now = cache.read();
+            if now == e {
+                break;
+            }
+            e = now;
+        }
+        if let Some(obs) = self.mgr.observer.get() {
+            obs.on_pin(self.id(), e);
+        }
     }
 
     /// Leave the epoch.
     pub fn unpin(&self) {
+        // Report before publishing, so the observer never sees a pin that
+        // has already ended.
+        if let Some(obs) = self.mgr.observer.get() {
+            obs.on_unpin(self.id());
+        }
         self.slot.set_epoch(QUIESCENT);
+    }
+
+    /// The identity reported to the observer: the token slot's address.
+    fn id(&self) -> usize {
+        self.slot as *const TokenSlot as usize
     }
 
     /// True while pinned.
@@ -469,6 +495,10 @@ impl Drop for PinGuard<'_, '_> {
 
 impl Drop for Token<'_> {
     fn drop(&mut self) {
+        // `unregister` unpins; tell the observer first, as `unpin` does.
+        if let Some(obs) = self.mgr.observer.get().filter(|_| self.is_pinned()) {
+            obs.on_unpin(self.id());
+        }
         self.mgr
             .instances
             .get_for(self.locale)
@@ -513,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_objects_reclaimed_after_two_advances() {
+    fn distributed_objects_reclaimed_after_three_advances() {
         let rt = zrt(4);
         rt.run(|| {
             let em = EpochManager::new();
@@ -527,9 +557,31 @@ mod tests {
             }
             assert_eq!(rt.live_objects(), 4);
             em.try_reclaim();
-            assert_eq!(rt.live_objects(), 4, "one advance is not enough");
             em.try_reclaim();
-            assert_eq!(rt.live_objects(), 0, "freed on the advance to e+2");
+            assert_eq!(rt.live_objects(), 4, "two advances are not enough");
+            em.try_reclaim();
+            assert_eq!(rt.live_objects(), 0, "freed on the advance to e+3");
+        });
+    }
+
+    #[test]
+    fn defer_from_a_lagging_token_survives_a_current_reader() {
+        // A pins in epoch 1, the epoch advances, B pins in 2 (and may now
+        // hold X), A defers X into list 1 and unpins. The advance to 3 is
+        // legal — everyone is in 2 or quiescent — but must not free X.
+        let rt = zrt(2);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let (a, b) = (em.register(), em.register());
+            a.pin();
+            assert!(em.try_reclaim());
+            b.pin();
+            let x = alloc_on(&rt, 1, 5u64);
+            a.defer_delete(x);
+            a.unpin();
+            assert!(em.try_reclaim(), "the advance to 3 is allowed");
+            assert_eq!(rt.live_objects(), 1, "X is live while B is pinned");
+            b.unpin();
         });
     }
 
@@ -593,11 +645,12 @@ mod tests {
             }
             em.try_reclaim();
             em.try_reclaim();
+            em.try_reclaim();
             assert_eq!(rt.live_objects(), 0);
             assert_eq!(checker.defers(), 4);
-            assert_eq!(checker.advances(), 2);
+            assert_eq!(checker.advances(), 3);
             assert_eq!(checker.reclaims(), 4);
-            checker.check().expect("two-advance reclamation is legal");
+            checker.check().expect("three-advance reclamation is legal");
         });
     }
 
@@ -626,6 +679,34 @@ mod tests {
                 errs.iter().any(|e| e.contains("early reclamation")),
                 "checker must catch the planted early free: {errs:?}"
             );
+        });
+    }
+
+    #[test]
+    fn early_free_under_a_pinned_reader_is_caught_by_the_pin_rule() {
+        use pgas_sim::faults::invariants::InvariantChecker;
+        let rt = zrt(2);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let checker = InvariantChecker::new();
+            em.set_observer(checker.clone());
+            let reader = em.register();
+            reader.pin();
+            {
+                let tok = em.register();
+                tok.pin();
+                tok.defer_delete(alloc_local(&rt, 7u64));
+                tok.unpin();
+            }
+            // The planted bug again, now with a second token pinned across
+            // it: the pin-aware rule must name the reader.
+            assert_eq!(em.debug_reclaim_current_epoch_early(), 1);
+            let errs = checker.check().unwrap_err();
+            assert!(
+                errs.iter().any(|e| e.contains("pinned reader")),
+                "checker must see the free under a pinned reader: {errs:?}"
+            );
+            reader.unpin();
         });
     }
 

@@ -1,15 +1,23 @@
 //! Epoch arithmetic.
 //!
-//! Epochs take the values `{1, 2, 3}` (Listing 4: `(e % 3) + 1`), with `0`
-//! reserved for "not pinned". Three limbo lists correspond to the three
-//! possible epoch values; the list reclaimed after advancing to epoch `n`
-//! is the one two advances old — which, in a 3-cycle, is also the value
-//! that will become current *next*.
+//! Epochs take the values `{1, 2, 3, 4}`, with `0` reserved for "not
+//! pinned". Four limbo lists correspond to the four possible epoch values;
+//! the list reclaimed after advancing to epoch `n` is the one three
+//! advances old — which, in a 4-cycle, is also the value that will become
+//! current *next*.
+//!
+//! The paper's Listing 4 cycles three epochs (`(e % 3) + 1`) and frees the
+//! list two advances old. That is one advance too early: a task pinned one
+//! epoch behind the global (its pin raced an advance) can defer an object
+//! that a task pinned in the *current* epoch still holds, and the next
+//! advance — allowed, since both are then in the current epoch or
+//! quiescent — frees it. See DESIGN.md §EBR for the schedule.
 
 /// Number of distinct epoch values / limbo lists.
-pub const EPOCHS: u64 = 3;
+pub const EPOCHS: u64 = 4;
 
-/// The epoch after `e` (Listing 4's `(current_global_epoch % 3) + 1`).
+/// The epoch after `e` (Listing 4's `(current_global_epoch % 3) + 1`, over
+/// [`EPOCHS`] values).
 #[inline]
 pub fn next_epoch(e: u64) -> u64 {
     debug_assert!((1..=EPOCHS).contains(&e), "epoch out of range: {e}");
@@ -17,8 +25,8 @@ pub fn next_epoch(e: u64) -> u64 {
 }
 
 /// After advancing *to* `new_epoch`, the epoch whose limbo list is safe to
-/// reclaim (two advances old = `new_epoch - 2` ≡ `next_epoch(new_epoch)`
-/// in the 3-cycle).
+/// reclaim (three advances old = `new_epoch - 3` ≡ `next_epoch(new_epoch)`
+/// in the 4-cycle).
 #[inline]
 pub fn reclaim_epoch(new_epoch: u64) -> u64 {
     next_epoch(new_epoch)
@@ -36,24 +44,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epochs_cycle_1_2_3() {
+    fn epochs_cycle_1_2_3_4() {
         assert_eq!(next_epoch(1), 2);
         assert_eq!(next_epoch(2), 3);
-        assert_eq!(next_epoch(3), 1);
+        assert_eq!(next_epoch(3), 4);
+        assert_eq!(next_epoch(4), 1);
     }
 
     #[test]
-    fn reclaim_is_two_advances_behind() {
-        // advancing 1→2: reclaim 3 (the epoch before 1 in ...3,1,2)
+    fn reclaim_is_three_advances_behind() {
+        // advancing 1→2: reclaim 3 (the epoch three advances before 2 in
+        // ...3,4,1,2)
         assert_eq!(reclaim_epoch(2), 3);
-        assert_eq!(reclaim_epoch(3), 1);
+        assert_eq!(reclaim_epoch(3), 4);
+        assert_eq!(reclaim_epoch(4), 1);
         assert_eq!(reclaim_epoch(1), 2);
-        // equivalently: reclaim_epoch(next(e)) is never e or next(e)
-        for e in 1..=3 {
+        // equivalently: the list freed on reaching `n` is never one a
+        // token may still be pinned in — `n` itself or the epoch one or
+        // two advances behind it.
+        for e in 1..=EPOCHS {
             let n = next_epoch(e);
-            let r = reclaim_epoch(n);
+            let m = next_epoch(n);
+            let r = reclaim_epoch(m);
             assert_ne!(r, e);
             assert_ne!(r, n);
+            assert_ne!(r, m);
         }
     }
 
@@ -62,6 +77,7 @@ mod tests {
         assert_eq!(limbo_index(1), 0);
         assert_eq!(limbo_index(2), 1);
         assert_eq!(limbo_index(3), 2);
+        assert_eq!(limbo_index(4), 3);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! ## Counters and latency
 //!
-//! The engine bumps the same [`pgas_sim::stats::CommStats`] counters the
+//! The engine bumps the same [`pgas_sim::stats::CommCounters`] counters the
 //! simulator would for the equivalent operation (requester-side `am_sent`,
 //! `gets`/`puts`/bytes; server-side `am_handled`, `cpu_atomics`,
 //! `cpu_dcas`), so sim-vs-proc parity is checkable. Latency histograms are

@@ -6,7 +6,7 @@
 //! messages, and bulk (batched) active messages — enters through one
 //! object: the runtime's [`CommEngine`]. The engine decides the path an
 //! operation takes, charges its virtual-time cost, and bumps the
-//! corresponding [`crate::stats::CommStats`] counters. Nothing else in the
+//! corresponding [`crate::stats::CommCounters`] counters. Nothing else in the
 //! workspace talks to the wire: the routing tables ([`crate::comm`]) and
 //! the active-message transport ([`crate::am`]) are crate-private
 //! implementation details of the in-process backend, [`SimEngine`].
@@ -53,7 +53,7 @@ pub const DEFAULT_BUFFER_CAP: usize = 1024;
 
 /// The abstract communication backend. One engine instance per runtime owns
 /// every remote operation: routing decisions, virtual-time charging, and
-/// [`crate::stats::CommStats`] accounting all live behind this trait, so a
+/// [`crate::stats::CommCounters`] accounting all live behind this trait, so a
 /// different transport (a real SHMEM/GASNet conduit, say) could be slotted
 /// in without touching the algorithm crates.
 ///

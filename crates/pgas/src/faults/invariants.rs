@@ -10,9 +10,16 @@
 //!   legitimately recycled it), but an access ([`InvariantChecker::mark_access`])
 //!   or a second reclaim of a tagged address is a violation. Reclamation
 //!   age is checked structurally: outside of teardown, the only limbo list
-//!   that may be freed after advancing to epoch `c` is the one two advances
-//!   old — `(c % 3) + 1` in the 3-cycle — so an early free of a younger
-//!   list is caught no matter how the manager reached it.
+//!   that may be freed after advancing to epoch `c` is the one three
+//!   advances old — `(c % 4) + 1` in the 4-cycle — so an early free of a
+//!   younger list is caught no matter how the manager reached it.
+//! - **No free under a pinned reader.** Epoch backends report pins and
+//!   unpins ([`ReclaimObserver::on_pin`]/[`ReclaimObserver::on_unpin`]);
+//!   every defer remembers which tokens were pinned at that moment, and
+//!   freeing the object while any of those pins is still unbroken is a
+//!   violation. This checks the EBR guarantee itself rather than the
+//!   list arithmetic, so it also catches an age rule that is wrong (the
+//!   paper's two-advances rule fails it).
 //! - **ABA counters strictly monotone.** Observations of an
 //!   `AtomicAbaObject`-style stamped counter recorded per observer stream
 //!   must never decrease; a decrease means a stamp was reused or torn.
@@ -34,7 +41,7 @@ use parking_lot::Mutex;
 
 /// Reclamation events, reported by a reclamation backend to an installed
 /// observer. Addresses identify the reclaimed allocation (its heap
-/// address); epochs are the epoch managers' `{1, 2, 3}` values.
+/// address); epochs are the epoch managers' `{1, 2, 3, 4}` values.
 /// Hazard-pointer backends report epoch `0` on every event (they have no
 /// epochs), which switches the checker from age rules to protection
 /// rules.
@@ -60,6 +67,17 @@ pub trait ReclaimObserver: Send + Sync {
     fn on_release(&self, addr: usize) {
         let _ = addr;
     }
+    /// Token `token` (an identity stable while it is registered) pinned
+    /// in `epoch`; reported after the pin is published and validated.
+    /// Only epoch backends emit this; the default is a no-op.
+    fn on_pin(&self, token: usize, epoch: u64) {
+        let _ = (token, epoch);
+    }
+    /// Token `token` is about to unpin; reported before the unpin is
+    /// published. Default is a no-op.
+    fn on_unpin(&self, token: usize) {
+        let _ = token;
+    }
 }
 
 /// Upper bound on retained violation messages; further violations are
@@ -76,6 +94,13 @@ struct CheckerState {
     fifo_last: HashMap<u64, u64>,
     /// Last observed ABA stamp per observer stream.
     aba_last: HashMap<u64, u64>,
+    /// Currently pinned tokens and the id of their pin session.
+    pinned: HashMap<usize, u64>,
+    /// Source of pin-session ids.
+    pin_sessions: u64,
+    /// Per deferred address, the `(token, session)` pins in force at its
+    /// defer; dropped when the address is reclaimed.
+    pinned_at_defer: HashMap<usize, Vec<(usize, u64)>>,
     violations: Vec<String>,
 }
 
@@ -107,10 +132,10 @@ impl InvariantChecker {
     }
 
     /// The limbo list that is legal to reclaim right after advancing to
-    /// `current`: the one two advances old, which in the 3-cycle is also
-    /// the next epoch value.
+    /// `current`: the one three advances old, which in the epoch
+    /// managers' 4-cycle is also the next epoch value.
     fn expected_reclaim_epoch(current: u64) -> u64 {
-        (current % 3) + 1
+        (current % 4) + 1
     }
 
     /// Tag an address as accessed; a violation if it is currently freed.
@@ -200,9 +225,14 @@ impl InvariantChecker {
 impl ReclaimObserver for InvariantChecker {
     fn on_defer(&self, addr: usize, _epoch: u64) {
         self.defers.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.state.lock();
         // A defer of a previously-freed address means the allocator
         // recycled it for a new object: un-tag it.
-        self.state.lock().freed.remove(&addr);
+        st.freed.remove(&addr);
+        if !st.pinned.is_empty() {
+            let pins = st.pinned.iter().map(|(&t, &s)| (t, s)).collect();
+            st.pinned_at_defer.insert(addr, pins);
+        }
     }
 
     fn on_advance(&self, _new_epoch: u64) {
@@ -228,18 +258,41 @@ impl ReclaimObserver for InvariantChecker {
             self.violate(format!(
                 "early reclamation: freed limbo list of epoch {list_epoch} \
                  while the global epoch is {current_epoch} (only epoch {} \
-                 is two advances old)",
+                 is three advances old)",
                 Self::expected_reclaim_epoch(current_epoch)
             ));
         }
         let mut st = self.state.lock();
-        if st.freed.insert(addr, current_epoch).is_some() {
-            drop(st);
+        let pins = st.pinned_at_defer.remove(&addr).unwrap_or_default();
+        let held = pins
+            .iter()
+            .find(|(t, sess)| st.pinned.get(t) == Some(sess))
+            .map(|&(t, _)| t);
+        let double_free = st.freed.insert(addr, current_epoch).is_some();
+        drop(st);
+        if let Some(token) = held.filter(|_| !during_clear) {
+            self.violate(format!(
+                "pinned reader: block {addr:#x} freed while token {token:#x}, \
+                 pinned since before its defer, is still pinned"
+            ));
+        }
+        if double_free {
             self.violate(format!(
                 "double free: block {addr:#x} reclaimed twice without an \
                  intervening defer"
             ));
         }
+    }
+
+    fn on_pin(&self, token: usize, _epoch: u64) {
+        let mut st = self.state.lock();
+        st.pin_sessions += 1;
+        let session = st.pin_sessions;
+        st.pinned.insert(token, session);
+    }
+
+    fn on_unpin(&self, token: usize) {
+        self.state.lock().pinned.remove(&token);
     }
 
     fn on_protect(&self, addr: usize) {
@@ -286,10 +339,11 @@ mod tests {
         c.on_defer(0x1000, 1);
         c.on_advance(2);
         c.on_advance(3);
-        // After advancing to 3, the two-advances-old list is epoch 1.
-        c.on_reclaim(0x1000, 1, 3, false);
+        c.on_advance(4);
+        // After advancing to 4, the three-advances-old list is epoch 1.
+        c.on_reclaim(0x1000, 1, 4, false);
         assert!(c.check().is_ok());
-        assert_eq!(c.advances(), 2);
+        assert_eq!(c.advances(), 3);
         assert_eq!(c.reclaims(), 1);
     }
 
@@ -318,7 +372,8 @@ mod tests {
         c.on_defer(0x4000, 1);
         c.on_advance(2);
         c.on_advance(3);
-        c.on_reclaim(0x4000, 1, 3, false);
+        c.on_advance(4);
+        c.on_reclaim(0x4000, 1, 4, false);
         c.mark_access(0x4000);
         assert_eq!(c.violation_count(), 1);
         // The allocator hands the address out again; a new defer un-tags.
@@ -333,10 +388,56 @@ mod tests {
         c.on_defer(0x5000, 1);
         c.on_advance(2);
         c.on_advance(3);
-        c.on_reclaim(0x5000, 1, 3, false);
-        c.on_reclaim(0x5000, 1, 3, false);
+        c.on_advance(4);
+        c.on_reclaim(0x5000, 1, 4, false);
+        c.on_reclaim(0x5000, 1, 4, false);
         let errs = c.check().unwrap_err();
         assert!(errs.iter().any(|e| e.contains("double free")), "{errs:?}");
+    }
+
+    #[test]
+    fn two_advances_old_list_is_now_early() {
+        // The paper's 3-cycle rule: after advancing to 3, free list 1.
+        let c = InvariantChecker::new();
+        c.on_defer(0x1100, 1);
+        c.on_reclaim(0x1100, 1, 3, false);
+        let errs = c.check().unwrap_err();
+        assert!(errs[0].contains("early reclamation"), "{errs:?}");
+    }
+
+    #[test]
+    fn free_under_a_pin_held_since_the_defer_is_caught() {
+        // The counterexample schedule: B pins, A defers X, A unpins, X is
+        // freed while B is still pinned.
+        let c = InvariantChecker::new();
+        let (a, b) = (0xa0, 0xb0);
+        c.on_pin(a, 1);
+        c.on_pin(b, 2);
+        c.on_defer(0x9000, 1);
+        c.on_unpin(a);
+        c.on_reclaim(0x9000, 1, 4, false);
+        let errs = c.check().unwrap_err();
+        assert!(errs[0].contains("pinned reader"), "{errs:?}");
+        assert!(errs[0].contains("0xb0"), "{errs:?}");
+    }
+
+    #[test]
+    fn pins_taken_after_the_defer_or_since_renewed_do_not_count() {
+        let c = InvariantChecker::new();
+        let (a, b) = (0xa0, 0xb0);
+        c.on_pin(a, 1);
+        c.on_defer(0x9100, 1);
+        c.on_unpin(a);
+        // B pins only after the defer: it can never have seen the block.
+        c.on_pin(b, 2);
+        // A re-pins: a new session, not the one in force at the defer.
+        c.on_pin(a, 2);
+        c.on_reclaim(0x9100, 1, 4, false);
+        assert!(c.check().is_ok(), "{:?}", c.violations());
+        // Teardown is exempt even under an unbroken pin.
+        c.on_defer(0x9200, 2);
+        c.on_reclaim(0x9200, 2, 2, true);
+        assert!(c.check().is_ok(), "{:?}", c.violations());
     }
 
     #[test]

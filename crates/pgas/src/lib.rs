@@ -87,6 +87,6 @@ pub use privatized::Privatized;
 pub use reduce::{all_locales, any_locales, max_locales, min_locales, reduce_locales, sum_locales};
 pub use runtime::{Runtime, RuntimeCore, RuntimeHandle};
 pub use shard::ShardRouter;
-pub use stats::{CommSnapshot, CommStats, HeapStats};
+pub use stats::{CommCounters, CommSnapshot, HeapStats};
 pub use symheap::{SymHeap, SymOp64};
 pub use telemetry::TelemetrySnapshot;

@@ -19,7 +19,7 @@
 //! the caller's clock delta.
 
 use std::ops::Deref;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -393,6 +393,13 @@ impl RuntimeCore {
     /// `coforall loc in Locales do on loc { f(loc) }`: run `f` once per
     /// locale, concurrently, and join. The caller's virtual clock advances
     /// to the slowest child (plus wire latency for remote children).
+    ///
+    /// Like [`Self::on`] with `dest == here`, the caller's own locale runs
+    /// inline on the calling thread (after the remote children are
+    /// spawned), under the ambient state a fresh task would start with: no
+    /// trace context and the default [`crate::faults::OpClass`]. A panic in
+    /// any child — inline or remote — propagates after every remote child
+    /// has joined.
     pub fn coforall_locales<F>(&self, f: F)
     where
         F: Fn(LocaleId) + Send + Sync,
@@ -403,33 +410,35 @@ impl RuntimeCore {
         let self_ptr = CorePtr(self as *const RuntimeCore);
         let mut max_end = parent_vt;
         std::thread::scope(|scope| {
+            let f = &f;
             let handles: Vec<_> = (0..self.locales.len() as LocaleId)
+                .filter(|&l| l != src)
                 .map(|l| {
-                    let f = &f;
                     scope.spawn(move || {
                         // SAFETY: the scope joins before `self` can move.
                         let _g = unsafe { ctx::enter(self_ptr.get(), l) };
-                        vtime::set(if l == src {
-                            parent_vt
-                        } else {
-                            parent_vt + wire
-                        });
+                        vtime::set(parent_vt + wire);
                         f(l);
-                        vtime::now() + if l == src { 0 } else { wire }
+                        vtime::now() + wire
                     })
                 })
                 .collect();
-            let mut panic = None;
-            for (l, h) in handles.into_iter().enumerate() {
-                if l as LocaleId != src {
-                    self.locales[src as usize]
-                        .stats
-                        .am_sent
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+            let mut panic = catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: `self` outlives this call.
+                let _g = unsafe { ctx::enter(self, src) };
+                let _t = crate::telemetry::trace::enter(None);
+                crate::faults::with_class(crate::faults::OpClass::NonIdempotent, || f(src));
+                max_end = max_end.max(vtime::now());
+            }))
+            .err();
+            for h in handles {
+                self.locales[src as usize]
+                    .stats
+                    .am_sent
+                    .fetch_add(1, Ordering::Relaxed);
                 match h.join() {
                     Ok(end) => max_end = max_end.max(end),
-                    Err(p) => panic = Some(p),
+                    Err(p) => panic = panic.or(Some(p)),
                 }
             }
             if let Some(p) = panic {
@@ -753,6 +762,76 @@ mod tests {
         for c in &counts {
             assert_eq!(c.load(Ordering::Relaxed), 1);
         }
+    }
+
+    #[test]
+    fn coforall_locales_runs_own_locale_inline_without_trace_ctx() {
+        use crate::faults::{self, OpClass};
+        use crate::telemetry::trace;
+        let rt = Runtime::cluster(3);
+        rt.run(|| {
+            rt.on(1, || {
+                let caller = std::thread::current().id();
+                let before = rt.total_comm();
+                let _t = trace::enter(Some(trace::TraceCtx { trace: 7, span: 9 }));
+                faults::with_class(OpClass::Idempotent, || {
+                    rt.coforall_locales(|l| {
+                        assert_eq!(ctx::here(), l);
+                        assert_eq!(trace::current(), None, "fresh task: no trace ctx");
+                        assert_eq!(faults::current_class(), OpClass::NonIdempotent);
+                        let inline = std::thread::current().id() == caller;
+                        assert_eq!(inline, l == 1, "only the caller's locale runs inline");
+                    });
+                    // The caller's ambient state is restored afterwards.
+                    assert_eq!(faults::current_class(), OpClass::Idempotent);
+                });
+                assert_eq!(
+                    trace::current(),
+                    Some(trace::TraceCtx { trace: 7, span: 9 })
+                );
+                assert_eq!(ctx::here(), 1);
+                // One spawn AM per remote locale (L - 1), counted on the caller.
+                let delta = rt.total_comm() - before;
+                assert_eq!(delta.am_sent, 2);
+                assert_eq!(rt.locale(1).stats.snapshot().am_sent, 2);
+            });
+        });
+    }
+
+    #[test]
+    fn coforall_locales_inline_panic_joins_remote_children() {
+        let rt = Runtime::cluster(3);
+        let finished = AtomicUsize::new(0);
+        rt.run(|| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.coforall_locales(|l| {
+                    if l == 0 {
+                        panic!("inline boom");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            let msg = r.expect_err("inline panic must propagate");
+            assert_eq!(msg.downcast_ref::<&str>(), Some(&"inline boom"));
+            // Both remote children ran to completion before the unwind.
+            assert_eq!(finished.load(Ordering::Relaxed), 2);
+            assert_eq!(ctx::here(), 0, "caller context restored after the panic");
+        });
+    }
+
+    #[test]
+    fn coforall_locales_vtime_is_slowest_child_plus_wire() {
+        let rt = Runtime::cluster(2);
+        let wire = rt.config.network.am_wire_ns;
+        let ((), span) = rt.run_measured(|| {
+            rt.coforall_locales(|l| vtime::charge(if l == 0 { 10 * wire } else { 100 }));
+        });
+        assert_eq!(span, 10 * wire, "the inline child is the slowest");
+        let ((), span) = rt.run_measured(|| {
+            rt.coforall_locales(|l| vtime::charge(if l == 0 { 1 } else { 100 }));
+        });
+        assert_eq!(span, 100 + 2 * wire, "remote child pays the wire both ways");
     }
 
     #[test]

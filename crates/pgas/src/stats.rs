@@ -4,37 +4,105 @@
 //! tests can assert *exact* communication behaviour (e.g. "privatized access
 //! performs zero communication", "the scatter list issues one bulk free per
 //! locale") independently of the latency model.
+//!
+//! Counters are **striped per thread**: each locale keeps [`STRIPES`]
+//! cache-padded copies of its counter block in one heap allocation, every
+//! thread writes only the stripe it picked on first use, and readers
+//! ([`crate::telemetry::Registry::snapshot`], [`HeapStats::live_objects`],
+//! …) fold all stripes, so totals stay exact. A field reached through
+//! `Deref` (`locale.stats.am_sent`) is the *calling thread's* stripe — fine
+//! for `fetch_add`, meaningless to `load`. Read totals only through the
+//! snapshot methods.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 
+/// Number of per-thread stripes each locale's counters and histograms are
+/// split into (a power of two).
+pub const STRIPES: usize = 8;
+
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// The calling thread's stripe, picked round-robin on its first use and
+/// fixed for the thread's lifetime.
+#[inline]
+pub(crate) fn stripe_index() -> usize {
+    STRIPE.with(|s| {
+        let i = s.get();
+        if i < STRIPES {
+            return i;
+        }
+        let i = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        s.set(i);
+        i
+    })
+}
+
+/// [`STRIPES`] cache-padded copies of `T` in one heap block. Writers touch
+/// only [`Striped::local`]; readers fold [`Striped::iter`].
+#[derive(Debug)]
+pub(crate) struct Striped<T> {
+    stripes: Box<[CachePadded<T>]>,
+}
+
+impl<T: Default> Default for Striped<T> {
+    fn default() -> Self {
+        Striped {
+            stripes: (0..STRIPES)
+                .map(|_| CachePadded::new(T::default()))
+                .collect(),
+        }
+    }
+}
+
+impl<T> Striped<T> {
+    /// The calling thread's stripe.
+    #[inline]
+    pub(crate) fn local(&self) -> &T {
+        &self.stripes[stripe_index()]
+    }
+
+    /// Every stripe, for readers that fold them.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.stripes.iter().map(|s| &**s)
+    }
+}
+
 macro_rules! counters {
     ($($(#[$m:meta])* $name:ident),+ $(,)?) => {
-        /// Live, concurrently-updated communication counters for one locale.
+        /// One stripe of a locale's communication counters (see the module
+        /// docs): the block a thread reaches through
+        /// [`crate::telemetry::Registry`]'s `Deref`. Its fields hold only
+        /// this stripe's share, so use them to count, never to read totals.
         #[derive(Debug, Default)]
-        pub struct CommStats {
-            $($(#[$m])* pub $name: CachePadded<AtomicU64>,)+
+        pub struct CommCounters {
+            $($(#[$m])* pub $name: AtomicU64,)+
         }
 
-        /// A plain-old-data snapshot of [`CommStats`], subtractable to
-        /// measure deltas across a benchmark phase.
+        /// A plain-old-data snapshot of a locale's counters, subtractable
+        /// to measure deltas across a benchmark phase.
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct CommSnapshot {
             $($(#[$m])* pub $name: u64,)+
         }
 
-        impl CommStats {
-            /// Capture the current counter values.
-            pub fn snapshot(&self) -> CommSnapshot {
+        impl CommCounters {
+            /// This stripe's values.
+            pub(crate) fn snapshot(&self) -> CommSnapshot {
                 CommSnapshot {
                     $($name: self.$name.load(Ordering::Relaxed),)+
                 }
             }
 
-            /// Zero all counters. Callers must ensure quiescence.
-            pub fn reset(&self) {
+            /// Zero this stripe. Callers must ensure quiescence.
+            pub(crate) fn reset(&self) {
                 $(self.$name.store(0, Ordering::Relaxed);)+
             }
         }
@@ -167,52 +235,70 @@ impl CommSnapshot {
     }
 }
 
-/// Heap accounting for one locale. `live` can be asserted to reach zero at
+/// One stripe of a locale's heap accounting. `live` may go negative in a
+/// stripe whose thread frees more than it allocates; only the fold over
+/// all stripes is meaningful.
+#[derive(Debug, Default)]
+struct HeapCells {
+    live: AtomicI64,
+    total_allocs: AtomicU64,
+    total_frees: AtomicU64,
+}
+
+/// Heap accounting for one locale, striped per thread like the counters
+/// (see the module docs). `live_objects` can be asserted to reach zero at
 /// the end of a test to prove reclamation completeness.
 #[derive(Debug, Default)]
 pub struct HeapStats {
-    /// Objects currently allocated on this locale.
-    pub live: CachePadded<AtomicI64>,
-    /// Total objects ever allocated on this locale.
-    pub total_allocs: CachePadded<AtomicU64>,
-    /// Total objects ever freed on this locale.
-    pub total_frees: CachePadded<AtomicU64>,
+    stripes: Striped<HeapCells>,
 }
 
 impl HeapStats {
     pub(crate) fn on_alloc(&self) {
-        self.live.fetch_add(1, Ordering::Relaxed);
-        self.total_allocs.fetch_add(1, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.live.fetch_add(1, Ordering::Relaxed);
+        s.total_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn on_free(&self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        self.total_frees.fetch_add(1, Ordering::Relaxed);
+        let s = self.stripes.local();
+        s.live.fetch_sub(1, Ordering::Relaxed);
+        s.total_frees.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of currently-live tracked objects.
     pub fn live_objects(&self) -> i64 {
-        self.live.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.live.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Lifetime allocation count.
     pub fn allocations(&self) -> u64 {
-        self.total_allocs.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.total_allocs.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Lifetime free count.
     pub fn frees(&self) -> u64 {
-        self.total_frees.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.total_frees.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{OpClass, Registry};
 
     #[test]
     fn snapshot_sub_gives_delta() {
-        let s = CommStats::default();
+        let s = Registry::default();
         s.am_sent.fetch_add(3, Ordering::Relaxed);
         let a = s.snapshot();
         s.am_sent.fetch_add(4, Ordering::Relaxed);
@@ -241,7 +327,7 @@ mod tests {
 
     #[test]
     fn is_zero_detects_clean_phase() {
-        let s = CommStats::default();
+        let s = Registry::default();
         assert!(s.snapshot().is_zero());
         s.gets.fetch_add(1, Ordering::Relaxed);
         assert!(!s.snapshot().is_zero());
@@ -249,7 +335,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_counters() {
-        let s = CommStats::default();
+        let s = Registry::default();
         s.rdma_atomics.fetch_add(9, Ordering::Relaxed);
         s.reset();
         assert!(s.snapshot().is_zero());
@@ -268,7 +354,7 @@ mod tests {
 
     #[test]
     fn to_json_lists_every_counter_in_order() {
-        let s = CommStats::default();
+        let s = Registry::default();
         s.am_sent.fetch_add(7, Ordering::Relaxed);
         let j = s.snapshot().to_json();
         assert!(j.starts_with("{\"rdma_atomics\": 0, "));
@@ -281,9 +367,99 @@ mod tests {
 
     #[test]
     fn display_lists_every_counter() {
-        let s = CommStats::default().snapshot();
+        let s = Registry::default().snapshot();
         let text = format!("{s}");
         assert!(text.contains("rdma_atomics"));
         assert!(text.contains("bulk_freed_objects"));
+    }
+
+    /// Run `f(t)` on `STRIPES + 3` fresh threads, so several threads share
+    /// a stripe and every stripe is written by some thread.
+    fn on_many_threads(f: impl Fn(usize) + Sync) {
+        std::thread::scope(|s| {
+            for t in 0..STRIPES + 3 {
+                let f = &f;
+                s.spawn(move || f(t));
+            }
+        });
+    }
+
+    #[test]
+    fn stripe_index_is_stable_and_in_range() {
+        let i = stripe_index();
+        assert!(i < STRIPES);
+        assert_eq!(stripe_index(), i, "a thread keeps its stripe");
+    }
+
+    #[test]
+    fn striped_counters_snapshot_exactly() {
+        const M: u64 = 10_000;
+        let r = Registry::default();
+        on_many_threads(|_| {
+            for _ in 0..M {
+                r.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+                r.bytes_put.fetch_add(3, Ordering::Relaxed);
+            }
+        });
+        let n = (STRIPES + 3) as u64;
+        let s = r.snapshot();
+        assert_eq!(s.cpu_atomics, n * M);
+        assert_eq!(s.bytes_put, 3 * n * M);
+        assert_eq!(r.telemetry_snapshot().comm, s);
+    }
+
+    #[test]
+    fn reset_zeroes_every_stripe() {
+        let r = Registry::default();
+        on_many_threads(|t| {
+            r.am_sent.fetch_add(1, Ordering::Relaxed);
+            r.record(OpClass::AmRoundTrip, t as u64 + 1);
+        });
+        assert_eq!(r.snapshot().am_sent, (STRIPES + 3) as u64);
+        r.reset();
+        for stripe in r.stripes_for_test() {
+            assert!(stripe.snapshot().is_zero());
+        }
+        let t = r.telemetry_snapshot();
+        assert!(t.comm.is_zero());
+        assert!(t.class(OpClass::AmRoundTrip).is_empty());
+    }
+
+    #[test]
+    fn live_objects_exact_across_threads() {
+        const M: usize = 1_000;
+        let h = HeapStats::default();
+        // Allocate everything on one thread, free it on others: the
+        // freeing threads' stripes go negative, the fold stays exact.
+        std::thread::scope(|s| {
+            s.spawn(|| (0..M * (STRIPES + 3)).for_each(|_| h.on_alloc()));
+        });
+        assert_eq!(h.live_objects(), (M * (STRIPES + 3)) as i64);
+        on_many_threads(|_| (0..M).for_each(|_| h.on_free()));
+        assert!(h.stripes.iter().any(|s| s.live.load(Ordering::Relaxed) < 0));
+        assert_eq!(h.live_objects(), 0);
+        assert_eq!(h.allocations(), (M * (STRIPES + 3)) as u64);
+        assert_eq!(h.frees(), h.allocations());
+    }
+
+    #[test]
+    fn histogram_merged_across_stripes_equals_one_thread() {
+        let striped = Registry::default();
+        let single = Registry::default();
+        let sample = |t: usize, i: u64| (i * 37 + t as u64 * 1_000) % 50_000;
+        on_many_threads(|t| {
+            for i in 0..500 {
+                striped.record(OpClass::Reclaim, sample(t, i));
+            }
+        });
+        for t in 0..STRIPES + 3 {
+            for i in 0..500 {
+                single.record(OpClass::Reclaim, sample(t, i));
+            }
+        }
+        assert_eq!(
+            striped.telemetry_snapshot().class(OpClass::Reclaim),
+            single.telemetry_snapshot().class(OpClass::Reclaim)
+        );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The paper's evaluation is about *where time goes* — RDMA vs
 //! remote-execution paths, queueing at saturated progress threads, EBR
-//! overhead — so flat event counts ([`crate::stats::CommStats`]) are not
+//! overhead — so flat event counts ([`crate::stats::CommCounters`]) are not
 //! enough. This module adds the latency half:
 //!
 //! * [`OpClass`] — the operation classes the simulator distinguishes
@@ -12,11 +12,13 @@
 //!   no dependencies; the vendor set is frozen). Percentiles come from a
 //!   cumulative bucket walk; the maximum is tracked exactly so tail
 //!   latencies are not bucket-rounded.
-//! * [`Registry`] — one per locale, pairing the existing [`CommStats`]
-//!   counters (unchanged names, so exact-count tests keep passing) with a
-//!   per-class histogram set. [`Registry`] derefs to [`CommStats`], so all
-//!   existing `locale.stats.am_sent…` call sites compile and count
-//!   bit-identically.
+//! * [`Registry`] — one per locale, pairing the communication counters
+//!   ([`CommCounters`]; unchanged names, so exact-count tests keep passing)
+//!   with a per-class histogram set, both striped per thread (see
+//!   [`crate::stats`]). [`Registry`] derefs to the calling thread's
+//!   [`CommCounters`] stripe, so all existing `locale.stats.am_sent…`
+//!   call sites compile and count bit-identically; totals are read only
+//!   through [`Registry::snapshot`] and [`Registry::telemetry_snapshot`].
 //! * [`Span`] — one record per remote operation, stamped from the virtual
 //!   time points that already exist (issue → wire → queue → handle →
 //!   reply), plus the causal-trace triple `trace`/`span`/`parent`.
@@ -33,10 +35,11 @@
 //! ## Overhead budget
 //!
 //! Histogram recording is always on and costs four relaxed atomic RMWs per
-//! sample; it charges **no virtual time** and touches **no counters**, so
-//! perf-guard quantities (A1 scatter AM counts, A7 combining wins) are
-//! bit-for-bit unaffected. Span emission is gated on an installed sink —
-//! the default is a single `OnceLock::get` returning `None`.
+//! sample, on the calling thread's own stripe; it charges **no virtual
+//! time** and touches **no counters**, so perf-guard quantities (A1
+//! scatter AM counts, A7 combining wins) are bit-for-bit unaffected. Span
+//! emission is gated on an installed sink — the default is a single
+//! `OnceLock::get` returning `None`.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -48,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::globalptr::LocaleId;
-use crate::stats::{CommSnapshot, CommStats};
+use crate::stats::{CommCounters, CommSnapshot, Striped};
 
 /// Operation classes tracked by the telemetry registry. Each class gets its
 /// own latency (or occupancy) histogram per locale, and spans are keyed by
@@ -605,9 +608,10 @@ impl std::ops::Add for HistSnapshot {
     }
 }
 
-/// One [`Histogram`] per [`OpClass`].
+/// One [`Histogram`] per [`OpClass`] (one [`Registry`] stripe's latency
+/// half).
 #[derive(Debug)]
-pub struct ClassHistograms {
+struct ClassHistograms {
     hists: [Histogram; OpClass::COUNT],
 }
 
@@ -620,79 +624,93 @@ impl Default for ClassHistograms {
 }
 
 impl ClassHistograms {
-    /// Record one sample for `class`.
     #[inline]
-    pub fn record(&self, class: OpClass, value: u64) {
+    fn record(&self, class: OpClass, value: u64) {
         self.hists[class as usize].record(value);
     }
 
-    /// The live histogram for `class`.
-    pub fn class(&self, class: OpClass) -> &Histogram {
-        &self.hists[class as usize]
-    }
-
-    /// Zero every histogram.
-    pub fn reset(&self) {
+    fn reset(&self) {
         for h in &self.hists {
             h.reset();
         }
     }
 
     /// Snapshot every histogram, in [`OpClass::ALL`] order.
-    pub fn snapshot(&self) -> [HistSnapshot; OpClass::COUNT] {
+    fn snapshot(&self) -> [HistSnapshot; OpClass::COUNT] {
         std::array::from_fn(|i| self.hists[i].snapshot())
     }
 }
 
-/// The per-locale metric registry: the existing [`CommStats`] counters
-/// (the counter half — same names, same semantics) plus per-class latency
-/// histograms (the new half).
-///
-/// `Registry` derefs to [`CommStats`], so `locale.stats.am_sent…` call
-/// sites keep compiling and counting exactly as before.
+/// One stripe of a [`Registry`]: a counter block plus a histogram set,
+/// written only by the threads mapped onto it.
 #[derive(Debug, Default)]
-pub struct Registry {
-    counters: CommStats,
+struct RegistryStripe {
+    counters: CommCounters,
     latency: ClassHistograms,
 }
 
+/// The per-locale metric registry: the communication counters (the counter
+/// half — same names, same semantics) plus per-class latency histograms
+/// (the latency half), both striped per thread in one heap block (see
+/// [`crate::stats`]).
+///
+/// `Registry` derefs to the calling thread's [`CommCounters`] stripe, so
+/// `locale.stats.am_sent.fetch_add(..)` call sites keep compiling and
+/// counting exactly as before. Read totals only through
+/// [`Registry::snapshot`] / [`Registry::telemetry_snapshot`], which fold
+/// every stripe.
+#[derive(Debug, Default)]
+pub struct Registry {
+    stripes: Striped<RegistryStripe>,
+}
+
 impl Deref for Registry {
-    type Target = CommStats;
-    fn deref(&self) -> &CommStats {
-        &self.counters
+    type Target = CommCounters;
+    #[inline]
+    fn deref(&self) -> &CommCounters {
+        &self.stripes.local().counters
     }
 }
 
 impl Registry {
-    /// The counter half.
-    pub fn counters(&self) -> &CommStats {
-        &self.counters
-    }
-
-    /// The histogram half.
-    pub fn latency(&self) -> &ClassHistograms {
-        &self.latency
-    }
-
     /// Record one latency/occupancy sample. Charges no virtual time and
     /// touches no counters.
     #[inline]
     pub fn record(&self, class: OpClass, value: u64) {
-        self.latency.record(class, value);
+        self.stripes.local().latency.record(class, value);
     }
 
-    /// Zero both halves. Callers must ensure quiescence.
+    /// The counter half, folded over every stripe.
+    pub fn snapshot(&self) -> CommSnapshot {
+        self.stripes.iter().fold(CommSnapshot::default(), |acc, s| {
+            acc + s.counters.snapshot()
+        })
+    }
+
+    /// Zero both halves of every stripe. Callers must ensure quiescence.
     pub fn reset(&self) {
-        self.counters.reset();
-        self.latency.reset();
+        for s in self.stripes.iter() {
+            s.counters.reset();
+            s.latency.reset();
+        }
     }
 
-    /// Capture both halves as one [`TelemetrySnapshot`].
+    /// Capture both halves, folded over every stripe, as one
+    /// [`TelemetrySnapshot`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            comm: self.counters.snapshot(),
-            latency: self.latency.snapshot(),
-        }
+        self.stripes
+            .iter()
+            .map(|s| TelemetrySnapshot {
+                comm: s.counters.snapshot(),
+                latency: s.latency.snapshot(),
+            })
+            .fold(TelemetrySnapshot::default(), |acc, t| acc + t)
+    }
+
+    /// Every stripe's counter block, for tests that inspect stripes.
+    #[cfg(test)]
+    pub(crate) fn stripes_for_test(&self) -> impl Iterator<Item = &CommCounters> {
+        self.stripes.iter().map(|s| &s.counters)
     }
 }
 

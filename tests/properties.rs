@@ -2,6 +2,7 @@
 //! compression, ABA counters, limbo-list/stack/queue semantics, and the
 //! distributed `forall` index partition.
 
+use pgas_nonblocking::epoch::EPOCHS;
 use pgas_nonblocking::prelude::*;
 use pgas_nonblocking::sim::WideGlobalPtr;
 use proptest::prelude::*;
@@ -218,8 +219,8 @@ proptest! {
         }
     }
 
-    /// Epoch advancement is always to `e % 3 + 1` and the cycle never
-    /// produces 0 or skips.
+    /// Epoch advancement is always to `e % EPOCHS + 1` (four epochs, see
+    /// `pgas_epoch::math`) and the cycle never produces 0 or skips.
     #[test]
     fn epoch_cycle_never_skips(advances in 1usize..30) {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
@@ -230,8 +231,8 @@ proptest! {
             for _ in 0..advances {
                 prop_assert!(em.try_reclaim());
                 let cur = em.global_epoch();
-                prop_assert_eq!(cur, (prev % 3) + 1);
-                prop_assert!((1..=3).contains(&cur));
+                prop_assert_eq!(cur, (prev % EPOCHS) + 1);
+                prop_assert!((1..=EPOCHS).contains(&cur));
                 prev = cur;
             }
             Ok(())

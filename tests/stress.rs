@@ -296,3 +296,68 @@ fn unelected_reclaim_is_safe_under_contention() {
     });
     assert_eq!(rt.live_objects(), 0);
 }
+
+/// Ops per task for [`queue_churn_oversubscribed_takes_each_value_once`]:
+/// small enough for a debug `cargo test`, full size in release builds
+/// (`cargo test --release --test stress`), where the early-free schedule
+/// it guards against shows up within a run or two.
+const QUEUE_CHURN_OPS: u64 = if cfg!(debug_assertions) {
+    16_000
+} else {
+    200_000
+};
+
+#[test]
+fn queue_churn_oversubscribed_takes_each_value_once() {
+    // Four tasks on one locale (more tasks than a small host has cores, so
+    // tasks are preempted mid-operation), alternating enqueue/dequeue and
+    // advancing the epoch every 8 ops. An early free shows up as a value
+    // taken twice, a garbage value, or a dequeued node with no value.
+    const TASKS: u64 = 4;
+    let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+    let mut taken: Vec<u64> = rt.run(|| {
+        let q: MsQueue<u64> = MsQueue::new();
+        let per_task: Vec<std::sync::Mutex<Vec<u64>>> =
+            (0..TASKS).map(|_| Default::default()).collect();
+        rt.coforall_tasks(TASKS as usize, |t| {
+            let tok = q.register();
+            let mut mine = Vec::new();
+            let mut last_seq = [None::<u64>; TASKS as usize];
+            for i in 0..QUEUE_CHURN_OPS {
+                if i % 2 == 0 {
+                    q.enqueue(&tok, (t as u64) << 32 | i);
+                } else if let Some(v) = q.dequeue(&tok) {
+                    // Per-producer FIFO, as one consumer sees it.
+                    let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
+                    assert!(p < TASKS as usize, "garbage value {v:#x}");
+                    assert!(last_seq[p] < Some(seq), "producer {p} out of order");
+                    last_seq[p] = Some(seq);
+                    mine.push(v);
+                }
+                if i % 8 == 0 {
+                    q.try_reclaim();
+                }
+            }
+            *per_task[t].lock().unwrap() = mine;
+        });
+        let tok = q.register();
+        let mut all: Vec<u64> = per_task
+            .into_iter()
+            .flat_map(|m| m.into_inner().unwrap())
+            .collect();
+        while let Some(v) = q.dequeue(&tok) {
+            all.push(v);
+        }
+        drop(tok);
+        q.clear_reclaim();
+        all
+    });
+    taken.sort_unstable();
+    let mut put: Vec<u64> = (0..TASKS)
+        .flat_map(|t| (0..QUEUE_CHURN_OPS).step_by(2).map(move |i| t << 32 | i))
+        .collect();
+    put.sort_unstable();
+    assert_eq!(taken.len(), put.len(), "values lost or duplicated");
+    assert!(taken == put, "the values taken are not the values put");
+    assert_eq!(rt.live_objects(), 0);
+}
