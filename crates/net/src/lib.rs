@@ -16,11 +16,19 @@
 //! (the `procbench` orchestrator performs that handshake over the agents'
 //! stdin/stdout). Requests travel over per-destination pooled connections
 //! — a connection carries one request at a time, so replies need no
-//! demultiplexer, just a sequence-number cross-check. On the server side
-//! an acceptor thread hands each connection to a reader thread, and *all*
-//! readers funnel into a single handler thread per process: active-message
-//! handling is serialized exactly like the simulator's `ServerSlots`
-//! discipline with one progress thread.
+//! demultiplexer, just a sequence-number cross-check. An async request
+//! holds its connection until the reply is read, then returns it to the
+//! pool. On the server side an acceptor thread starts one reader thread
+//! per inbound connection, and that reader serves every request it
+//! decodes itself and writes the reply on the same stream: no thread hop
+//! sits between the socket and the symmetric heap.
+//!
+//! Requests are therefore served concurrently, at most one per inbound
+//! connection — like the simulator's progress service with
+//! `progress_threads > 1`. That needs no lock: every [`SymHeap`] op is an
+//! atomic or a seqlock (and already races with the owner's own local
+//! `sym_*` calls), and a registered handler is a plain `fn` over `Sync`
+//! state.
 //!
 //! ## Counters and latency
 //!
@@ -39,14 +47,19 @@
 //! both observed the same even sequence and the same low half. The torn
 //! window between the two GETs is real concurrency against
 //! [`SymHeap::wide_dcas`] on the owner, not a model artifact.
+//!
+//! [`SymHeap`]: pgas_sim::symheap::SymHeap
+//! [`SymHeap::wide_dcas`]: pgas_sim::symheap::SymHeap::wide_dcas
 
 pub mod wire;
 
+use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -65,25 +78,60 @@ const NO_CLOSURES: &str = "ProcEngine cannot ship closures across processes; reg
      handler fn (pgas_sim::handlers::register) and use \
      on_handler/on_handler_async, or symmetric-heap ops (sym_*)";
 
-/// A request travelling from a reader thread to the per-process handler
-/// thread, with the connection to write the reply on.
-struct Request {
-    seq: u64,
-    msg: Msg,
-    conn: Arc<Mutex<TcpStream>>,
-}
+/// A connection as both ends use it: reads go through a buffer (one
+/// `recv` per frame), writes go straight to the socket (one `send` per
+/// frame, see [`wire::write_msg`]).
+type Conn = BufReader<TcpStream>;
 
-/// Server-side shared state (owned by the engine, referenced by threads).
-struct ServerState {
+/// State shared by the engine, its server threads and its outstanding
+/// async waiters.
+struct EngineState {
     rank: LocaleId,
     shutdown: AtomicBool,
     core: OnceLock<Weak<RuntimeCore>>,
-    /// Clones of every accepted connection, so [`ProcEngine::shutdown`]
-    /// can unblock their reader threads.
-    conns: Mutex<Vec<TcpStream>>,
-    /// Reader-thread handles (spawned by the acceptor, joined at
-    /// shutdown).
+    /// Per-destination pool of idle request connections (checkout is
+    /// exclusive: one in-flight request per connection).
+    pools: Vec<Mutex<Vec<Conn>>>,
+    /// A clone of every live accepted connection, so
+    /// [`ProcEngine::shutdown`] can unblock its reader thread. A reader
+    /// removes its own entry when it exits.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Reader-thread handles (finished ones are pruned by the acceptor,
+    /// the rest joined at shutdown).
     readers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl EngineState {
+    /// Return an idle connection to `dest`'s pool; once shutdown has begun
+    /// it is closed instead. The flag is read under the pool lock, so a
+    /// connection is either drained by shutdown or never pooled.
+    fn checkin(&self, dest: LocaleId, conn: Conn) {
+        let mut pool = self.pools[dest as usize].lock();
+        if !self.shutdown.load(Ordering::SeqCst) {
+            pool.push(conn);
+        }
+    }
+
+    /// Serve one inbound connection until the peer hangs up or shutdown
+    /// closes it: each request is executed right here, on the thread that
+    /// decoded it, and answered on the same stream.
+    fn serve_conn(&self, stream: TcpStream) {
+        let mut conn = BufReader::new(stream);
+        while let Ok(Some((seq, msg))) = wire::read_msg_opt(&mut conn) {
+            let Some(core) = self.core.get().and_then(Weak::upgrade) else {
+                break;
+            };
+            let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                core.run_on(self.rank, || serve(&core, self.rank, msg))
+            })) {
+                Ok(r) => r,
+                Err(p) => Msg::ReplyErr(panic_message(&*p)),
+            };
+            if wire::write_msg(conn.get_mut(), seq, &reply).is_err() {
+                break; // Requester hung up.
+            }
+        }
+    }
 }
 
 /// The multi-process [`CommEngine`] backend (see the crate docs).
@@ -91,19 +139,13 @@ pub struct ProcEngine {
     rank: LocaleId,
     nlocales: usize,
     peers: Vec<SocketAddr>,
-    /// Per-destination pool of idle request connections (checkout is
-    /// exclusive: one in-flight request per connection).
-    pools: Vec<Mutex<Vec<TcpStream>>>,
     /// Taken by the acceptor thread at [`CommEngine::bind`].
     listener: Mutex<Option<TcpListener>>,
     local_addr: SocketAddr,
     seq: AtomicU64,
-    state: Arc<ServerState>,
-    /// Submission side of the request funnel; dropped at shutdown so the
-    /// handler thread drains and exits.
-    req_tx: Mutex<Option<crossbeam_channel::Sender<Request>>>,
-    /// Acceptor + handler threads.
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    state: Arc<EngineState>,
+    /// The acceptor thread (started at bind, joined at shutdown).
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ProcEngine {
@@ -132,20 +174,19 @@ impl ProcEngine {
         ProcEngine {
             rank,
             nlocales: peers.len(),
-            pools: (0..peers.len()).map(|_| Mutex::new(Vec::new())).collect(),
-            peers,
             listener: Mutex::new(Some(listener)),
             local_addr,
             seq: AtomicU64::new(1),
-            state: Arc::new(ServerState {
+            state: Arc::new(EngineState {
                 rank,
                 shutdown: AtomicBool::new(false),
                 core: OnceLock::new(),
-                conns: Mutex::new(Vec::new()),
+                pools: (0..peers.len()).map(|_| Mutex::new(Vec::new())).collect(),
+                conns: Mutex::new(HashMap::new()),
                 readers: Mutex::new(Vec::new()),
             }),
-            req_tx: Mutex::new(None),
-            threads: Mutex::new(Vec::new()),
+            peers,
+            acceptor: Mutex::new(None),
         }
     }
 
@@ -160,9 +201,9 @@ impl ProcEngine {
     }
 
     /// Check out an idle connection to `dest` (connecting lazily).
-    fn checkout(&self, dest: LocaleId) -> TcpStream {
-        if let Some(s) = self.pools[dest as usize].lock().pop() {
-            return s;
+    fn checkout(&self, dest: LocaleId) -> Conn {
+        if let Some(c) = self.state.pools[dest as usize].lock().pop() {
+            return c;
         }
         let addr = self.peers[dest as usize];
         let s = TcpStream::connect(addr).unwrap_or_else(|e| {
@@ -172,19 +213,19 @@ impl ProcEngine {
             )
         });
         s.set_nodelay(true).ok();
-        s
+        BufReader::new(s)
     }
 
     /// One blocking request/reply round trip to `dest`.
     fn request(&self, dest: LocaleId, msg: &Msg) -> Msg {
-        let mut stream = self.checkout(dest);
+        let mut conn = self.checkout(dest);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        wire::write_msg(&mut stream, seq, msg)
+        wire::write_msg(conn.get_mut(), seq, msg)
             .unwrap_or_else(|e| panic!("locale {}: send to {dest} failed: {e}", self.rank));
-        let (rseq, reply) = wire::read_msg(&mut stream)
+        let (rseq, reply) = wire::read_msg(&mut conn)
             .unwrap_or_else(|e| panic!("locale {}: reply from {dest} failed: {e}", self.rank));
         assert_eq!(rseq, seq, "proc transport: reply out of sequence");
-        self.pools[dest as usize].lock().push(stream);
+        self.state.checkin(dest, conn);
         if let Msg::ReplyErr(e) = reply {
             panic!("remote handler on locale {dest} panicked: {e}");
         }
@@ -194,7 +235,9 @@ impl ProcEngine {
 
 /// Execute one server-side request against `core`'s local symmetric heap,
 /// bumping the owner-side counters the simulator's handler path would.
-/// Runs on the single handler thread, inside [`RuntimeCore::run_on`].
+/// Runs on the reader thread of the connection the request arrived on,
+/// inside [`RuntimeCore::run_on`]; requests on different connections run
+/// concurrently.
 fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
     let locale = core.locale(rank);
     let stats = &locale.stats;
@@ -232,7 +275,7 @@ fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
                 handlers::invoke(HandlerId(id), core, &args)
             })) {
                 Ok(out) => Msg::ReplyBytes(out),
-                Err(p) => Msg::ReplyErr(panic_message(&p)),
+                Err(p) => Msg::ReplyErr(panic_message(&*p)),
             }
         }
         other => Msg::ReplyErr(format!("protocol error: unexpected request {other:?}")),
@@ -518,18 +561,18 @@ impl CommEngine for ProcEngine {
         }
         let stats = &core.locale(self.rank).stats;
         stats.am_sent.fetch_add(1, Ordering::Relaxed);
-        let mut stream = self.checkout(dest);
+        let mut conn = self.checkout(dest);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        wire::write_msg(&mut stream, seq, &Msg::Handler { id: h.0, args })
+        wire::write_msg(conn.get_mut(), seq, &Msg::Handler { id: h.0, args })
             .unwrap_or_else(|e| panic!("locale {}: async send to {dest} failed: {e}", self.rank));
-        // The waiter owns the connection until the reply frame lands; it is
-        // then closed rather than pooled (the pool never sees a stream with
-        // a reply in flight).
+        // The waiter owns the connection until the reply frame lands, then
+        // returns it to the pool (the pool never sees a connection with a
+        // reply in flight).
         Completion::from_waiter(Box::new(ProcWaiter {
-            stream: Some(stream),
+            conn: Some(conn),
+            state: Arc::clone(&self.state),
             seq,
             dest,
-            done: false,
         }))
     }
 
@@ -551,107 +594,79 @@ impl CommEngine for ProcEngine {
             .core
             .set(Arc::downgrade(core))
             .expect("ProcEngine bound twice");
-        let (tx, rx) = crossbeam_channel::unbounded::<Request>();
-        *self.req_tx.lock() = Some(tx.clone());
-        let mut threads = self.threads.lock();
-
-        // The single handler thread: serialized AM handling, like the sim's
-        // progress service with one slot.
-        let state = Arc::clone(&self.state);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("pgas-proc-handler-{}", self.rank))
-                .spawn(move || {
-                    while let Ok(req) = rx.recv() {
-                        let Some(core) = state.core.get().and_then(Weak::upgrade) else {
-                            break;
-                        };
-                        let reply =
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                core.run_on(state.rank, || serve(&core, state.rank, req.msg))
-                            })) {
-                                Ok(r) => r,
-                                Err(p) => Msg::ReplyErr(panic_message(&p)),
-                            };
-                        let mut conn = req.conn.lock();
-                        if wire::write_msg(&mut *conn, req.seq, &reply).is_err() {
-                            // Requester hung up; nothing to do.
-                        }
-                    }
-                })
-                .expect("failed to spawn proc handler thread"),
-        );
-
-        // The acceptor: one reader thread per inbound connection.
+        // The acceptor: one reader thread per inbound connection, which
+        // also serves that connection's requests.
         let listener = self
             .listener
             .lock()
             .take()
             .expect("ProcEngine bound twice (listener already taken)");
         let state = Arc::clone(&self.state);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("pgas-proc-accept-{}", self.rank))
-                .spawn(move || {
-                    while let Ok((stream, _)) = listener.accept() {
-                        if state.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        stream.set_nodelay(true).ok();
-                        if let Ok(clone) = stream.try_clone() {
-                            state.conns.lock().push(clone);
-                        }
-                        let writer = match stream.try_clone() {
-                            Ok(w) => Arc::new(Mutex::new(w)),
-                            Err(_) => continue,
-                        };
-                        let tx = tx.clone();
-                        let reader = std::thread::Builder::new()
-                            .name(format!("pgas-proc-read-{}", state.rank))
-                            .spawn(move || {
-                                let mut stream = stream;
-                                while let Ok(Some((seq, msg))) = wire::read_msg_opt(&mut stream) {
-                                    let req = Request {
-                                        seq,
-                                        msg,
-                                        conn: Arc::clone(&writer),
-                                    };
-                                    if tx.send(req).is_err() {
-                                        break;
-                                    }
-                                }
-                            });
-                        if let Ok(h) = reader {
-                            state.readers.lock().push(h);
+        let acceptor = std::thread::Builder::new()
+            .name(format!("pgas-proc-accept-{}", self.rank))
+            .spawn(move || {
+                let mut next_id = 0u64;
+                loop {
+                    let accepted = listener.accept();
+                    if state.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok((stream, _)) = accepted else {
+                        // Transient (e.g. out of file descriptors): back off
+                        // and keep accepting rather than stop serving.
+                        std::thread::sleep(Duration::from_millis(1));
+                        continue;
+                    };
+                    stream.set_nodelay(true).ok();
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
+                    let id = next_id;
+                    next_id += 1;
+                    state.conns.lock().insert(id, clone);
+                    let reader_state = Arc::clone(&state);
+                    let reader = std::thread::Builder::new()
+                        .name(format!("pgas-proc-read-{}", state.rank))
+                        .spawn(move || {
+                            reader_state.serve_conn(stream);
+                            reader_state.conns.lock().remove(&id);
+                        });
+                    let mut readers = state.readers.lock();
+                    readers.retain(|h| !h.is_finished());
+                    match reader {
+                        Ok(h) => readers.push(h),
+                        Err(_) => {
+                            state.conns.lock().remove(&id);
                         }
                     }
-                })
-                .expect("failed to spawn proc accept thread"),
-        );
+                }
+            })
+            .expect("failed to spawn proc accept thread");
+        *self.acceptor.lock() = Some(acceptor);
     }
 
     fn shutdown(&self) {
         if self.state.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Drop our sender so the handler thread exits once the readers do.
-        *self.req_tx.lock() = None;
-        // Unblock the acceptor (it re-checks the flag on wake).
+        // Unblock the acceptor (it re-checks the flag on wake) and wait for
+        // it, so no reader starts after the sweep below.
         let _ = TcpStream::connect(self.local_addr);
+        if let Some(h) = self.acceptor.lock().take() {
+            let _ = h.join();
+        }
         // Unblock every reader (and any peer blocked on us replying).
-        for s in self.state.conns.lock().drain(..) {
+        for (_, s) in self.state.conns.lock().drain() {
             let _ = s.shutdown(Shutdown::Both);
         }
         // Close idle outbound connections so peers' readers exit too.
-        for pool in &self.pools {
-            for s in pool.lock().drain(..) {
-                let _ = s.shutdown(Shutdown::Both);
+        for pool in &self.state.pools {
+            for c in pool.lock().drain(..) {
+                let _ = c.get_ref().shutdown(Shutdown::Both);
             }
         }
-        for h in self.threads.lock().drain(..) {
-            let _ = h.join();
-        }
-        for h in self.state.readers.lock().drain(..) {
+        let readers = std::mem::take(&mut *self.state.readers.lock());
+        for h in readers {
             let _ = h.join();
         }
     }
@@ -681,30 +696,28 @@ impl Drop for ProcEngine {
     }
 }
 
-/// [`CompletionWaiter`] over a connection with one reply frame in flight.
+/// [`CompletionWaiter`] over a connection with one reply frame in flight;
+/// the connection goes back to the pool once the reply is read.
 struct ProcWaiter {
-    stream: Option<TcpStream>,
+    /// `None` once the reply was read or the connection was lost.
+    conn: Option<Conn>,
+    state: Arc<EngineState>,
     seq: u64,
     dest: LocaleId,
-    done: bool,
 }
 
 impl ProcWaiter {
     fn finish(&mut self) {
-        if self.done {
+        let Some(mut conn) = self.conn.take() else {
             return;
-        }
-        self.done = true;
-        if let Some(mut s) = self.stream.take() {
-            match wire::read_msg(&mut s) {
-                Ok((seq, Msg::ReplyErr(e))) => {
-                    debug_assert_eq!(seq, self.seq);
-                    panic!("remote handler on locale {} panicked: {e}", self.dest);
-                }
-                Ok((seq, _)) => debug_assert_eq!(seq, self.seq),
-                // Connection torn down (engine shutdown): the result is
-                // abandoned, matching Completion's drop semantics.
-                Err(_) => {}
+        };
+        // A torn-down connection (engine shutdown) abandons the result,
+        // matching Completion's drop semantics.
+        if let Ok((seq, reply)) = wire::read_msg(&mut conn) {
+            assert_eq!(seq, self.seq, "proc transport: reply out of sequence");
+            self.state.checkin(self.dest, conn);
+            if let Msg::ReplyErr(e) = reply {
+                panic!("remote handler on locale {} panicked: {e}", self.dest);
             }
         }
     }
@@ -712,27 +725,27 @@ impl ProcWaiter {
 
 impl CompletionWaiter for ProcWaiter {
     fn poll(&mut self) -> bool {
-        if self.done {
-            return true;
-        }
-        let Some(s) = &self.stream else {
+        let Some(conn) = &self.conn else {
             return true;
         };
-        s.set_nonblocking(true).ok();
-        let mut probe = [0u8; 1];
-        let r = s.peek(&mut probe);
-        s.set_nonblocking(false).ok();
-        match r {
-            Ok(_) => {
-                self.finish();
-                true
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-            Err(_) => {
-                self.done = true;
-                true
+        // Bytes already buffered are part of the reply; only peek the
+        // socket when the buffer is empty.
+        if conn.buffer().is_empty() {
+            let s = conn.get_ref();
+            s.set_nonblocking(true).ok();
+            let r = s.peek(&mut [0u8; 1]);
+            s.set_nonblocking(false).ok();
+            match r {
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+                Err(_) => {
+                    self.conn = None;
+                    return true;
+                }
             }
         }
+        self.finish();
+        true
     }
 
     fn wait(mut self: Box<Self>) {

@@ -132,11 +132,17 @@ fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
 /// prefix; [`write_msg`] adds it).
 pub fn encode_payload(seq: u64, msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    put_u64(&mut out, seq);
+    encode_into(&mut out, seq, msg);
+    out
+}
+
+/// Append the payload of `(seq, msg)` to `out`.
+fn encode_into(out: &mut Vec<u8>, seq: u64, msg: &Msg) {
+    put_u64(out, seq);
     match msg {
         Msg::Atomic64 { offset, op } => {
             out.push(0);
-            put_u64(&mut out, *offset);
+            put_u64(out, *offset);
             let (optag, a, b) = match *op {
                 SymOp64::Load => (0u8, 0, 0),
                 SymOp64::Store(v) => (1, v, 0),
@@ -145,8 +151,8 @@ pub fn encode_payload(seq: u64, msg: &Msg) -> Vec<u8> {
                 SymOp64::Cas { expected, new } => (4, expected, new),
             };
             out.push(optag);
-            put_u64(&mut out, a);
-            put_u64(&mut out, b);
+            put_u64(out, a);
+            put_u64(out, b);
         }
         Msg::Dcas {
             offset,
@@ -154,47 +160,46 @@ pub fn encode_payload(seq: u64, msg: &Msg) -> Vec<u8> {
             new,
         } => {
             out.push(1);
-            put_u64(&mut out, *offset);
-            put_u128(&mut out, *expected);
-            put_u128(&mut out, *new);
+            put_u64(out, *offset);
+            put_u128(out, *expected);
+            put_u128(out, *new);
         }
         Msg::Get { offset, len } => {
             out.push(2);
-            put_u64(&mut out, *offset);
-            put_u32(&mut out, *len);
+            put_u64(out, *offset);
+            put_u32(out, *len);
         }
         Msg::Put { offset, data } => {
             out.push(3);
-            put_u64(&mut out, *offset);
-            put_bytes(&mut out, data);
+            put_u64(out, *offset);
+            put_bytes(out, data);
         }
         Msg::Handler { id, args } => {
             out.push(4);
-            put_u32(&mut out, *id);
-            put_bytes(&mut out, args);
+            put_u32(out, *id);
+            put_bytes(out, args);
         }
         Msg::ReplyU64(v) => {
             out.push(5);
-            put_u64(&mut out, *v);
+            put_u64(out, *v);
         }
         Msg::ReplyDcas { ok, current } => {
             out.push(6);
             out.push(u8::from(*ok));
-            put_u128(&mut out, *current);
+            put_u128(out, *current);
         }
         Msg::ReplyBytes(data) => {
             out.push(7);
-            put_bytes(&mut out, data);
+            put_bytes(out, data);
         }
         Msg::ReplyUnit => {
             out.push(8);
         }
         Msg::ReplyErr(s) => {
             out.push(9);
-            put_bytes(&mut out, s.as_bytes());
+            put_bytes(out, s.as_bytes());
         }
     }
-    out
 }
 
 /// Bounds-checked cursor over a frame payload.
@@ -299,13 +304,15 @@ pub fn decode_payload(buf: &[u8]) -> Result<(u64, Msg), WireError> {
     Ok((seq, msg))
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame: the payload is encoded once, straight
+/// after a reserved length prefix, and handed to `w` in one `write_all`.
 pub fn write_msg<W: std::io::Write>(w: &mut W, seq: u64, msg: &Msg) -> std::io::Result<()> {
-    let payload = encode_payload(seq, msg);
-    debug_assert!(payload.len() <= MAX_FRAME);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[0; 4]);
+    encode_into(&mut frame, seq, msg);
+    let len = frame.len() - 4;
+    debug_assert!(len <= MAX_FRAME);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -459,5 +466,24 @@ mod tests {
         );
         assert_eq!(read_msg(&mut r).unwrap(), (8, Msg::ReplyUnit));
         assert!(read_msg_opt(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn back_to_back_frames_decode_through_one_buffered_reader() {
+        let put = Msg::Put {
+            offset: 8,
+            data: vec![7; 40],
+        };
+        let mut buf = Vec::new();
+        write_msg(&mut buf, 1, &put).unwrap();
+        write_msg(&mut buf, 2, &Msg::ReplyU64(9)).unwrap();
+        // The default buffer holds both frames after one fill; a tiny one
+        // makes every frame straddle refills.
+        for cap in [8 * 1024, 7] {
+            let mut r = std::io::BufReader::with_capacity(cap, buf.as_slice());
+            assert_eq!(read_msg(&mut r).unwrap(), (1, put.clone()));
+            assert_eq!(read_msg(&mut r).unwrap(), (2, Msg::ReplyU64(9)));
+            assert!(read_msg_opt(&mut r).unwrap().is_none());
+        }
     }
 }
